@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -130,14 +131,13 @@ def export_top_edges(model, subjects, priors, fraction):
     return rows
 
 
-def write_table(path, rows, columns, fmt="%.10g"):
+def write_table(path, rows, columns):
     """Plain-text CSV with a header row; floats formatted deterministically."""
     lines = [",".join(columns)]
     for row in rows:
         cells = []
         for c in columns:
             v = row[c]
-            cells.append(fmt % v if isinstance(v, float) else str(v))
+            cells.append("%.10g" % v if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
-    from pathlib import Path as _P
-    _P(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")

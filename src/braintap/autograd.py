@@ -61,10 +61,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def in_graph(self):
-        return self.requires_grad or self._parents != ()
-
     def item(self):
         if self.data.size != 1:
             raise DimensionError(f"item() on non-scalar shape {self.shape}")
@@ -72,10 +68,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self):
-        """Constant copy sharing no graph history."""
-        return Tensor(self.data.copy())
 
     def backward(self):
         if self.data.size != 1:
@@ -100,33 +92,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return hadamard(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data, parents, backward_fn):
@@ -367,21 +334,6 @@ def sym0(a):
         _accum(a, gg)
 
     return _node(out_data, (a,), backward)
-
-
-def row_norm(x, eps=1e-6):
-    """Per-row standardization: (x - row mean) / sqrt(row var + eps)."""
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv_sd = 1.0 / np.sqrt(var + eps)
-    out_data = (x.data - mu) * inv_sd
-
-    def backward(g):
-        gm = g.mean(axis=1, keepdims=True)
-        gy = (g * out_data).mean(axis=1, keepdims=True)
-        _accum(x, inv_sd * (g - gm - out_data * gy))
-
-    return _node(out_data, (x,), backward)
 
 
 def bce_with_logits(logit, y):

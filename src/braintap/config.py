@@ -36,15 +36,10 @@ class TrainConfig:
     hyper_lr_scale: float = 1.0
     amd_lr_scale: float = 1.0
     gspf_lr_scale: float = 1.0
-    # ablation and behavior flags
+    # ablation flags (see benchmark.ABLATION_VARIANTS)
     amd_enabled: bool = True
     gspf_enabled: bool = True
     pspf_enabled: bool = True
-    spf_fc_enabled: bool = True
-    spf_sc_enabled: bool = True
-    final_layer_exchange: bool = True
-    zero_gate_diagonal: bool = True
-    layer_norm: bool = False
 
     def __post_init__(self):
         if self.d_ff == 0:

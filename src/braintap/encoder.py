@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .nn import Mlp, init_weight, zero_param
+from .nn import Mlp, init_weight
 
 
 @dataclass
@@ -72,7 +72,7 @@ def embed_tokens(adj, params):
     return params.embed(adj)
 
 
-def encoder_layer(tokens, params, n_heads, bias=None, eta=1.0, layer_norm=False):
+def encoder_layer(tokens, params, n_heads, bias=None, eta=1.0):
     """One MHSA + MLP block with residuals; returns LayerOutput.
 
     bias, if given, is added to every head's attention logits scaled by eta.
@@ -105,11 +105,7 @@ def encoder_layer(tokens, params, n_heads, bias=None, eta=1.0, layer_norm=False)
         heads.append(ag.matmul(p, v))
     mhsa = ag.matmul(ag.concat_cols(heads), params.wo)
     z = ag.add(tokens, mhsa)
-    if layer_norm:
-        z = ag.row_norm(z)
     out = ag.add(z, params.mlp(z))
-    if layer_norm:
-        out = ag.row_norm(out)
     return LayerOutput(tokens=out, attention=attn)
 
 

@@ -12,7 +12,7 @@ from . import encoder as enc
 from . import spf as spf_mod
 from .config import TrainConfig
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -56,11 +56,18 @@ class BrainTAP:
         for p in self.parameters():
             p.zero_grad()
 
-    def _exchange_at(self, layer_idx):
+    def _gate(self, x_fc0, x_sc0, priors):
+        """SPF gate from the layer-0 tokens of both modalities, or None when
+        both SPF components are disabled."""
         cfg = self.cfg
-        if not cfg.amd_enabled:
-            return False
-        return layer_idx < cfg.n_layers - 1 or cfg.final_layer_exchange
+        if not cfg.spf_enabled:
+            return None
+        z = spf_mod.subject_embedding(x_fc0, x_sc0, self.spf)
+        score = spf_mod.score_matrix(
+            z, priors, self.spf,
+            gspf=cfg.gspf_enabled, pspf=cfg.pspf_enabled,
+        )
+        return spf_mod.gate(score, cfg.tau_spf)
 
     def forward(self, fc, sc, priors, detached_ratios=None, record_attention=False):
         """Run one subject; fc and sc are N x N arrays.
@@ -72,42 +79,27 @@ class BrainTAP:
         cfg = self.cfg
         x_fc = enc.embed_tokens(ag.Tensor(fc), self.enc_fc)
         x_sc = enc.embed_tokens(ag.Tensor(sc), self.enc_sc)
-
-        gate_matrix = None
-        bias = None
-        if cfg.spf_enabled:
-            z = spf_mod.subject_embedding(x_fc, x_sc, self.spf)
-            score = spf_mod.score_matrix(
-                z, priors, self.spf,
-                gspf=cfg.gspf_enabled, pspf=cfg.pspf_enabled,
-            )
-            gate_matrix = spf_mod.gate(score, cfg.tau_spf)
-            bias = spf_mod.attention_bias(gate_matrix, cfg.zero_gate_diagonal)
+        gate_matrix = self._gate(x_fc, x_sc, priors)
+        bias = None if gate_matrix is None else spf_mod.attention_bias(gate_matrix)
 
         distill_losses = []
         attention = {}
         for l in range(cfg.n_layers):
-            out_fc = enc.encoder_layer(
-                x_fc, self.enc_fc.layers[l], cfg.n_heads,
-                bias=bias if cfg.spf_fc_enabled else None,
-                eta=cfg.eta, layer_norm=cfg.layer_norm,
-            )
-            out_sc = enc.encoder_layer(
-                x_sc, self.enc_sc.layers[l], cfg.n_heads,
-                bias=bias if cfg.spf_sc_enabled else None,
-                eta=cfg.eta, layer_norm=cfg.layer_norm,
-            )
+            out_fc = enc.encoder_layer(x_fc, self.enc_fc.layers[l], cfg.n_heads,
+                                       bias=bias, eta=cfg.eta)
+            out_sc = enc.encoder_layer(x_sc, self.enc_sc.layers[l], cfg.n_heads,
+                                       bias=bias, eta=cfg.eta)
             x_fc, x_sc = out_fc.tokens, out_sc.tokens
             if record_attention:
                 attention[("fc", l)] = out_fc.attention
                 attention[("sc", l)] = out_sc.attention
-            if self._exchange_at(l):
+            if cfg.amd_enabled:
                 ratios = None if detached_ratios is None else detached_ratios[l]
                 ex = amd_mod.amd_exchange(
                     x_fc, x_sc, self.amd_layers[l], cfg.tau_amd,
                     detached_ratios=ratios,
                 )
-                x_fc, x_sc, = ex.x_fc, ex.x_sc
+                x_fc, x_sc = ex.x_fc, ex.x_sc
                 distill_losses.append(ex.loss)
 
         logit = enc.classify(x_fc, x_sc, self.head)
@@ -117,12 +109,17 @@ class BrainTAP:
         )
 
     def gate_for(self, subject, priors):
-        """Per-subject gate matrix as a plain array (no tape)."""
+        """Per-subject gate matrix as a plain array (no tape). Runs only the
+        token embeddings and SPF, not the encoder layers."""
         with ag.no_grad():
-            result = self.forward(subject.fc, subject.sc, priors)
-        if result.gate is None:
+            gate_matrix = self._gate(
+                enc.embed_tokens(ag.Tensor(subject.fc), self.enc_fc),
+                enc.embed_tokens(ag.Tensor(subject.sc), self.enc_sc),
+                priors,
+            )
+        if gate_matrix is None:
             raise ag.ParameterError("gate requested but SPF is disabled in this config")
-        return result.gate.data.copy()
+        return gate_matrix.data
 
     def predict(self, subject, priors):
         """Disease probability for one subject (no tape)."""
@@ -136,7 +133,7 @@ class BrainTAP:
     # checkpoint format: npz with a version scalar, the config JSON, model
     # dimensions, and one array per named parameter under "param:<name>"
     def save(self, path):
-        arrays = {f"param:{name}": t.data for name, t in self.named_params()}
+        arrays = {f"param:{name}": a for name, a in self.state_arrays().items()}
         np.savez(
             path,
             checkpoint_version=np.array(CHECKPOINT_VERSION),
@@ -154,16 +151,19 @@ class BrainTAP:
                 raise ValueError(f"unsupported checkpoint version {version}")
             cfg = TrainConfig.from_json(str(archive["config_json"]))
             model = cls(cfg, int(archive["n_rois"]), int(archive["n_priors"]))
-            for name, t in model.named_params():
-                stored = archive[f"param:{name}"]
-                if stored.shape != t.data.shape:
-                    raise ValueError(f"checkpoint shape mismatch for {name}")
-                t.data = stored.astype(np.float64)
+            model.load_state_arrays({
+                key[len("param:"):]: archive[key]
+                for key in archive.files if key.startswith("param:")
+            })
         return model
 
     def state_arrays(self):
         return {name: t.data.copy() for name, t in self.named_params()}
 
     def load_state_arrays(self, state):
+        """Copy each named array into its parameter; shapes must match."""
         for name, t in self.named_params():
-            t.data = state[name].copy()
+            stored = state[name]
+            if stored.shape != t.data.shape:
+                raise ValueError(f"checkpoint shape mismatch for {name}")
+            t.data = stored.astype(np.float64)

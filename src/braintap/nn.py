@@ -27,8 +27,9 @@ class Mlp:
     b2: ag.Tensor
 
     @classmethod
-    def init(cls, rng, d_in, d_hidden, d_out, zero_final=False):
-        w2 = zero_param(d_hidden, d_out) if zero_final else init_weight(rng, d_hidden, d_out)
+    def init(cls, rng, d_in, d_hidden, d_out):
+        # w2 is drawn before w1; swapping them would change every seeded init.
+        w2 = init_weight(rng, d_hidden, d_out)
         return cls(
             w1=init_weight(rng, d_in, d_hidden),
             b1=zero_param(1, d_hidden),

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import autograd as ag
+from .benchmark import ABLATION_VARIANTS, SEEDS
 from .config import TrainConfig
 from .model import BrainTAP
 
@@ -186,17 +187,9 @@ def train(cfg: TrainConfig, subjects, priors, manifest, metrics_path=None, log=N
     return model, report
 
 
-ABLATION_VARIANTS = (
-    ("full", {}),
-    ("w/o AMD", {"amd_enabled": False}),
-    ("w/o G-SPF", {"gspf_enabled": False}),
-    ("w/o P-SPF", {"pspf_enabled": False}),
-)
-
-
-def run_ablation(cfg: TrainConfig, subjects, priors, manifest, seeds=(0, 1, 2), log=None):
-    """Train the full model and the three component-removal variants over the
-    given seeds; returns one row per variant with mean and sd test AUC."""
+def run_ablation(cfg: TrainConfig, subjects, priors, manifest, seeds=SEEDS, log=None):
+    """Train every variant of benchmark.ABLATION_VARIANTS over the given
+    seeds; returns one row per variant with mean and sd test AUC."""
     rows = []
     for name, overrides in ABLATION_VARIANTS:
         aucs = []

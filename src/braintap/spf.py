@@ -112,11 +112,9 @@ def gate(score, tau):
     return ag.sigmoid(ag.scale(score, 1.0 / tau))
 
 
-def attention_bias(gate_matrix, zero_diagonal=True):
-    """The gate as an attention bias; optionally with its diagonal zeroed
-    so self-connections get no learned favoritism."""
-    if not zero_diagonal:
-        return gate_matrix
+def attention_bias(gate_matrix):
+    """The gate as an attention bias, with its diagonal zeroed so
+    self-connections get no learned favoritism."""
     n = gate_matrix.shape[0]
     hollow = np.ones((n, n))
     np.fill_diagonal(hollow, 0.0)

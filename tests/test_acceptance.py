@@ -19,7 +19,7 @@ from braintap import analysis
 from braintap import autograd as ag
 from braintap import encoder as enc
 from braintap import spf
-from braintap.benchmark import COHORT, SEEDS, benchmark_config
+from braintap.benchmark import ABLATION_VARIANTS, COHORT, SEEDS, benchmark_config
 from braintap.config import TrainConfig
 from braintap.data import PriorSet, derive_free_mask, generate_synthetic_cohort, load_cohort
 from braintap.model import BrainTAP
@@ -227,15 +227,8 @@ def test_ablation_flags_take_bit_identical_code_paths():
 
 @pytest.fixture(scope="session")
 def benchmark_runs(tmp_path_factory):
-    """Train all five variants on the planted-signal cohorts, one per seed."""
-    variants = {
-        "full": {},
-        "no_amd": {"amd_enabled": False},
-        "no_gspf": {"gspf_enabled": False},
-        "no_pspf": {"pspf_enabled": False},
-        "no_fusion": {"amd_enabled": False, "gspf_enabled": False, "pspf_enabled": False},
-    }
-    aucs = {v: [] for v in variants}
+    """Train every ablation variant on the planted-signal cohorts, one per seed."""
+    aucs = {name: [] for name, _ in ABLATION_VARIANTS}
     full_models = []
     start = time.time()
     for seed in SEEDS:
@@ -243,7 +236,7 @@ def benchmark_runs(tmp_path_factory):
         generate_synthetic_cohort(cdir, seed=seed, **COHORT)
         subjects, priors, manifest = load_cohort(cdir)
         test_set = split_subjects(subjects, manifest, "test")
-        for name, flags in variants.items():
+        for name, flags in ABLATION_VARIANTS:
             cfg = benchmark_config(seed=seed, **flags)
             model, _ = train(cfg, subjects, priors, manifest)
             aucs[name].append(evaluate_auc(model, test_set, priors))
@@ -256,10 +249,10 @@ def test_removing_any_component_degrades_benchmark_auc(benchmark_runs):
     aucs, _, elapsed = benchmark_runs
     means = {v: float(np.mean(a)) for v, a in aucs.items()}
     detail = " ".join(f"{v}={m:.4f}" for v, m in means.items())
-    assert means["full"] - means["no_amd"] >= 0.01, detail
-    assert means["full"] - means["no_gspf"] >= 0.01, detail
-    assert means["full"] - means["no_pspf"] >= 0.01, detail
-    assert means["full"] - means["no_fusion"] >= 0.02, detail
+    assert means["full"] - means["w/o AMD"] >= 0.01, detail
+    assert means["full"] - means["w/o G-SPF"] >= 0.01, detail
+    assert means["full"] - means["w/o P-SPF"] >= 0.01, detail
+    assert means["full"] - means["w/o AMD+SPF"] >= 0.02, detail
     assert elapsed < 15 * 60, f"benchmark took {elapsed:.0f}s"
 
 

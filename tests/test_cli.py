@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from braintap import cli, data
@@ -94,7 +95,7 @@ def test_ablate_table(cohort_dir, cfg_path, tmp_path):
     assert run(["ablate", "--config", str(cfg_path), "--cohort-dir", str(cohort_dir),
                 "--out", str(out), "--seeds", "0"]) == 0
     lines = out.read_text().strip().splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6  # header + one row per variant of ABLATION_VARIANTS
     assert lines[0] == "variant,mean_auc,sd_auc"
 
 
@@ -102,6 +103,16 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     assert run(["evaluate", "--checkpoint", str(tmp_path / "nope.npz"),
                 "--cohort-dir", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_old_checkpoint_version_is_error(checkpoint, cohort_dir, tmp_path, capsys):
+    with np.load(checkpoint) as archive:
+        arrays = dict(archive)
+    arrays["checkpoint_version"] = np.array(1)
+    old = tmp_path / "old.npz"
+    np.savez(old, **arrays)
+    assert run(["evaluate", "--checkpoint", str(old), "--cohort-dir", str(cohort_dir)]) == 1
+    assert "unsupported checkpoint version" in capsys.readouterr().err
 
 
 def test_bad_config_key_is_error(tmp_path, cohort_dir, capsys):

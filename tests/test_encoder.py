@@ -83,17 +83,6 @@ class TestEncoderLayer:
         with pytest.raises(ag.DimensionError):
             enc.encoder_layer(ag.Tensor(rng.normal(size=(6, 8))), params.layers[0], 3)
 
-    def test_layer_norm_gradient(self, rng):
-        x = ag.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        w = ag.Tensor(rng.normal(size=(4, 6)))
-        loss = ag.sum_all(ag.hadamard(ag.row_norm(x), w))
-        loss.backward()
-        from tests.test_autograd import numeric_grad
-        num = numeric_grad(
-            lambda: ag.sum_all(ag.hadamard(ag.row_norm(x), w)).item(), x.data
-        )
-        np.testing.assert_allclose(x.grad, num, rtol=1e-5, atol=1e-8)
-
 
 class TestClassify:
     def test_equal_modalities_average_is_identity(self, rng):

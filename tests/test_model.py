@@ -142,12 +142,14 @@ class TestForwardContracts:
             for p in maps:
                 np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_final_layer_exchange_flag_changes_loss_count(self, priors, subject):
+    def test_gate_for_equals_forward_gate(self, priors, subject):
         fc, sc = subject
-        on = BrainTAP(TrainConfig(**TINY), N, 2)
-        off = BrainTAP(TrainConfig(final_layer_exchange=False, **TINY), N, 2)
-        assert len(on.forward(fc, sc, priors).distill_losses) == 2
-        assert len(off.forward(fc, sc, priors).distill_losses) == 1
+        model = BrainTAP(TrainConfig(**TINY), N, 2)
+        rng = np.random.default_rng(5)
+        for _, p in model.named_params():
+            p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+        g = model.gate_for(type("S", (), {"fc": fc, "sc": sc})(), priors)
+        np.testing.assert_array_equal(g, model.forward(fc, sc, priors).gate.data)
 
     def test_checkpoint_round_trip(self, priors, subject, tmp_path):
         fc, sc = subject

@@ -152,7 +152,8 @@ class TestRunAblation:
         cohort = data.load_cohort(d)
         cfg = TrainConfig(epochs=6, batch_size=8, learning_rate=3e-3, **TINY)
         rows = pipeline.run_ablation(cfg, *cohort, seeds=(0,))
-        assert [r["variant"] for r in rows] == ["full", "w/o AMD", "w/o G-SPF", "w/o P-SPF"]
+        assert [r["variant"] for r in rows] == [
+            "full", "w/o AMD", "w/o G-SPF", "w/o P-SPF", "w/o AMD+SPF"]
         for row in rows:
             assert set(row) >= {"variant", "mean_auc", "sd_auc"}
             assert row["mean_auc"] > 0.8  # trivially separable

@@ -146,10 +146,8 @@ class TestGate:
 
     def test_attention_bias_diagonal_handling(self, rng):
         g = spf.gate(ag.Tensor(np.zeros((4, 4))), tau=1.0)
-        hollow = spf.attention_bias(g, zero_diagonal=True)
+        hollow = spf.attention_bias(g)
         np.testing.assert_array_equal(np.diag(hollow.data), np.zeros(4))
-        kept = spf.attention_bias(g, zero_diagonal=False)
-        np.testing.assert_array_equal(kept.data, g.data)
 
 
 @settings(max_examples=50, deadline=None)
