@@ -3,18 +3,20 @@
 Class-1 subjects carry an additive signal inside prior block 1 of FC and
 prior block 2 of SC; both modalities share per-subject confound noise.
 """
+import os
 import tempfile
 
 import numpy as np
 
 from braintap.data import generate_synthetic_cohort, load_cohort
 
-out = tempfile.mkdtemp(prefix="cohort_demo_")
-generate_synthetic_cohort(out, n_subjects=100, n_rois=12, n_priors=2,
-                          signal_strength=0.6, noise_sd=0.2, seed=1)
-subjects, priors, manifest = load_cohort(out)
+# The cohort is written to a temporary directory that is removed once loaded.
+with tempfile.TemporaryDirectory(prefix="cohort_demo_") as out:
+    generate_synthetic_cohort(out, n_subjects=100, n_rois=12, n_priors=2,
+                              signal_strength=0.6, noise_sd=0.2, seed=1)
+    subjects, priors, manifest = load_cohort(out)
+    print("cohort files:", len(os.listdir(out)))
 
-print("cohort at", out)
 print("subjects:", len(subjects), " ROIs:", manifest.n_rois)
 print("priors:", priors.names)
 print("split sizes:", {s: len(manifest.split_ids(s)) for s in ("train", "val", "test")})

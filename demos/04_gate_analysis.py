@@ -13,11 +13,11 @@ from braintap.config import TrainConfig
 from braintap.data import generate_synthetic_cohort, load_cohort
 from braintap.pipeline import split_subjects, train
 
-out = tempfile.mkdtemp(prefix="gate_demo_")
-generate_synthetic_cohort(out, n_subjects=200, n_rois=12, n_priors=2,
-                          signal_strength=0.6, noise_sd=0.2, seed=5,
-                          sc_signal_block=1)
-subjects, priors, manifest = load_cohort(out)
+with tempfile.TemporaryDirectory(prefix="gate_demo_") as out:
+    generate_synthetic_cohort(out, n_subjects=200, n_rois=12, n_priors=2,
+                              signal_strength=0.6, noise_sd=0.2, seed=5,
+                              sc_signal_block=1)
+    subjects, priors, manifest = load_cohort(out)
 
 cfg = TrainConfig(d=16, n_layers=2, n_heads=2, d_distill=16, z_dim=8,
                   learning_rate=3e-3, epochs=10, patience=10, seed=5,

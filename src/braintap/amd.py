@@ -11,36 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import autograd as ag
-from .nn import Mlp, zero_param
+from .nn import init_mlp, mlp, zero_param
 
 
-@dataclass
-class AmdLayerParams:
-    g_fc: Mlp  # d -> d_distill projection
-    g_sc: Mlp
-    h_fc: Mlp  # d_distill -> d inverse projection
-    h_sc: Mlp
-    raw_beta: ag.Tensor  # (1, 1); beta = sigmoid(raw_beta)
-    raw_gamma: ag.Tensor
-
-    @classmethod
-    def init(cls, rng, d, d_distill):
-        return cls(
-            g_fc=Mlp.init(rng, d, d_distill, d_distill),
-            g_sc=Mlp.init(rng, d, d_distill, d_distill),
-            h_fc=Mlp.init(rng, d_distill, d_distill, d),
-            h_sc=Mlp.init(rng, d_distill, d_distill, d),
-            raw_beta=zero_param(1, 1),
-            raw_gamma=zero_param(1, 1),
-        )
-
-    def named(self, prefix):
-        out = []
-        for tag in ("g_fc", "g_sc", "h_fc", "h_sc"):
-            out += getattr(self, tag).named(f"{prefix}.{tag}")
-        out += [(f"{prefix}.raw_beta", self.raw_beta),
-                (f"{prefix}.raw_gamma", self.raw_gamma)]
-        return out
+def init_amd_layer(rng, params, prefix, d, d_distill):
+    """Add one exchange's projections g_fc, g_sc (d -> d_distill), inverse
+    projections h_fc, h_sc (d_distill -> d) and the raw ratio scalars
+    raw_beta, raw_gamma (beta = sigmoid(raw_beta)) to params."""
+    init_mlp(rng, params, f"{prefix}.g_fc", d, d_distill, d_distill)
+    init_mlp(rng, params, f"{prefix}.g_sc", d, d_distill, d_distill)
+    init_mlp(rng, params, f"{prefix}.h_fc", d_distill, d_distill, d)
+    init_mlp(rng, params, f"{prefix}.h_sc", d_distill, d_distill, d)
+    params[f"{prefix}.raw_beta"] = zero_param(1, 1)
+    params[f"{prefix}.raw_gamma"] = zero_param(1, 1)
 
 
 @dataclass
@@ -52,8 +35,8 @@ class AmdLayerOutput:
     gamma: float
 
 
-def amd_exchange(x_fc, x_sc, params, tau, detached_ratios=None):
-    """One mutual-distillation exchange; returns refined tokens and the layer loss.
+def amd_exchange(x_fc, x_sc, params, prefix, tau, detached_ratios=None):
+    """Mutual-distillation exchange ``prefix``; returns refined tokens and the layer loss.
 
     Inside the loss, beta and gamma appear as gradient-detached weights:
     letting them receive gradient from the KL terms would drive them
@@ -64,13 +47,13 @@ def amd_exchange(x_fc, x_sc, params, tau, detached_ratios=None):
     if x_fc.shape != x_sc.shape:
         raise ag.DimensionError(f"token shapes differ: {x_fc.shape} vs {x_sc.shape}")
     n = x_fc.shape[0]
-    z_fc = params.g_fc(x_fc)
-    z_sc = params.g_sc(x_sc)
+    z_fc = mlp(params, f"{prefix}.g_fc", x_fc)
+    z_sc = mlp(params, f"{prefix}.g_sc", x_sc)
     p_fc = ag.row_softmax(z_fc, tau)
     p_sc = ag.row_softmax(z_sc, tau)
 
-    beta = ag.sigmoid(params.raw_beta)
-    gamma = ag.sigmoid(params.raw_gamma)
+    beta = ag.sigmoid(params[f"{prefix}.raw_beta"])
+    gamma = ag.sigmoid(params[f"{prefix}.raw_gamma"])
     if detached_ratios is None:
         beta_bar, gamma_bar = beta.item(), gamma.item()
     else:
@@ -83,11 +66,11 @@ def amd_exchange(x_fc, x_sc, params, tau, detached_ratios=None):
     one = ag.Tensor([[1.0]])
     x_fc_new = ag.add(
         ag.hadamard(ag.sub(one, gamma), x_fc),
-        ag.hadamard(gamma, params.h_fc(z_sc)),
+        ag.hadamard(gamma, mlp(params, f"{prefix}.h_fc", z_sc)),
     )
     x_sc_new = ag.add(
         ag.hadamard(ag.sub(one, beta), x_sc),
-        ag.hadamard(beta, params.h_sc(z_fc)),
+        ag.hadamard(beta, mlp(params, f"{prefix}.h_sc", z_fc)),
     )
     return AmdLayerOutput(
         x_fc=x_fc_new, x_sc=x_sc_new, loss=loss,
@@ -95,13 +78,14 @@ def amd_exchange(x_fc, x_sc, params, tau, detached_ratios=None):
     )
 
 
-def report_ratios(amd_layers):
-    """Per-layer distill-intact ratios: FC's is gamma (fraction of FC tokens
-    replaced with SC-derived content), SC's is beta."""
+def report_ratios(params, prefixes):
+    """Distill-intact ratios of the exchanges ``prefixes``, one row per layer
+    numbered from 1: FC's is gamma (fraction of FC tokens replaced with
+    SC-derived content), SC's is beta."""
     rows = []
-    for i, p in enumerate(amd_layers, start=1):
+    for i, prefix in enumerate(prefixes, start=1):
         with ag.no_grad():
-            beta = ag.sigmoid(p.raw_beta).item()
-            gamma = ag.sigmoid(p.raw_gamma).item()
+            beta = ag.sigmoid(params[f"{prefix}.raw_beta"]).item()
+            gamma = ag.sigmoid(params[f"{prefix}.raw_gamma"]).item()
         rows.append({"layer": i, "fc_ratio": gamma, "sc_ratio": beta})
     return rows

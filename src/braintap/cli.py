@@ -14,10 +14,6 @@ def _load_cfg(args):
     return TrainConfig.load(args.config) if args.config else TrainConfig()
 
 
-def _load_cohort(args):
-    return data.load_cohort(args.cohort_dir)
-
-
 def cmd_generate(args):
     data.generate_synthetic_cohort(
         args.out, args.subjects, args.rois, args.priors,
@@ -31,7 +27,7 @@ def cmd_train(args):
     cfg = _load_cfg(args)
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
-    subjects, priors, manifest = _load_cohort(args)
+    subjects, priors, manifest = data.load_cohort(args.cohort_dir)
     log = print if args.verbose else None
     model, report = pipeline.train(cfg, subjects, priors, manifest,
                                    metrics_path=args.metrics, log=log)
@@ -43,7 +39,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model = BrainTAP.load(args.checkpoint)
-    subjects, priors, manifest = _load_cohort(args)
+    subjects, priors, manifest = data.load_cohort(args.cohort_dir)
     subset = pipeline.split_subjects(subjects, manifest, args.split)
     score = pipeline.evaluate_auc(model, subset, priors)
     print(f"{args.split}_auc={score:.10g}")
@@ -52,7 +48,7 @@ def cmd_evaluate(args):
 
 def cmd_ablate(args):
     cfg = _load_cfg(args)
-    subjects, priors, manifest = _load_cohort(args)
+    subjects, priors, manifest = data.load_cohort(args.cohort_dir)
     seeds = [int(s) for s in args.seeds.split(",")]
     log = print if args.verbose else None
     rows = pipeline.run_ablation(cfg, subjects, priors, manifest, seeds=seeds, log=log)
@@ -72,7 +68,7 @@ def cmd_ratios(args):
 
 def cmd_mrr(args):
     model = BrainTAP.load(args.checkpoint)
-    subjects, priors, manifest = _load_cohort(args)
+    subjects, priors, manifest = data.load_cohort(args.cohort_dir)
     subset = pipeline.split_subjects(subjects, manifest, args.split)
     report = analysis.analyze_mrr(
         model, subset, priors,
@@ -88,7 +84,7 @@ def cmd_mrr(args):
 
 def cmd_top_edges(args):
     model = BrainTAP.load(args.checkpoint)
-    subjects, priors, manifest = _load_cohort(args)
+    subjects, priors, manifest = data.load_cohort(args.cohort_dir)
     subset = pipeline.split_subjects(subjects, manifest, args.split)
     rows = analysis.export_top_edges(model, subset, priors, args.fraction)
     analysis.write_table(args.out, rows, ["roi_i", "roi_j", "gate", "label"])

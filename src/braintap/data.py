@@ -29,8 +29,6 @@ NOISE_ENTRY_SCALE = 3.0
 NOISE_SHARED_ENTRY_SCALE = 4.0
 NOISE_OFFSET_SCALE = 1.5
 NOISE_ROW_SCALE = 2.0
-# Optional reliability asymmetry between the modalities.
-NOISE_SC_FACTOR = 1.0
 # Every subject gets one boosted edge inside the first prior block in each
 # modality, with strength ALIGNED_EDGE_SCALE * noise_sd. Class 1 reuses the
 # same edge in both modalities; class 0 draws them independently. Each
@@ -197,19 +195,13 @@ def _sym_entry_noise(rng, n):
     return (entry + entry.T) / np.sqrt(2.0)
 
 
-def _symmetric_noise(rng, n, noise_sd, shared=None, offset=None, rowfac=None):
+def _symmetric_noise(rng, n, noise_sd, shared, offset, rowfac):
     """Zero-mean symmetric Gaussian noise with structured confounds.
 
-    shared, offset, and rowfac, if given, are confound draws reused by the
-    subject's other modality; sharing them makes those components
-    removable only by comparing the modalities against each other.
+    shared, offset, and rowfac are confound draws reused by the subject's
+    other modality; sharing them makes those components removable only by
+    comparing the modalities against each other.
     """
-    if shared is None:
-        shared = _sym_entry_noise(rng, n)
-    if offset is None:
-        offset = rng.normal()
-    if rowfac is None:
-        rowfac = rng.normal(size=n)
     noise = (
         NOISE_ENTRY_SCALE * _sym_entry_noise(rng, n)
         + NOISE_SHARED_ENTRY_SCALE * shared
@@ -282,7 +274,7 @@ def generate_synthetic_cohort(
         rowfac = rng.normal(size=n_rois)
         fc = _symmetric_noise(rng, n_rois, noise_sd,
                               shared=shared, offset=offset, rowfac=rowfac)
-        sc = _symmetric_noise(rng, n_rois, noise_sd * NOISE_SC_FACTOR,
+        sc = _symmetric_noise(rng, n_rois, noise_sd,
                               shared=shared, offset=offset, rowfac=rowfac)
         if label == 1:
             fc = fc + fc_signal

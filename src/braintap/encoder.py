@@ -12,51 +12,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .nn import Mlp, init_weight
+from .nn import init_mlp, init_weight, mlp
 
 
-@dataclass
-class LayerParams:
-    wq: ag.Tensor
-    wk: ag.Tensor
-    wv: ag.Tensor
-    wo: ag.Tensor
-    mlp: Mlp
-
-    @classmethod
-    def init(cls, rng, d, d_ff):
-        return cls(
-            wq=init_weight(rng, d, d),
-            wk=init_weight(rng, d, d),
-            wv=init_weight(rng, d, d),
-            wo=init_weight(rng, d, d),
-            mlp=Mlp.init(rng, d, d_ff, d),
-        )
-
-    def named(self, prefix):
-        out = [(f"{prefix}.wq", self.wq), (f"{prefix}.wk", self.wk),
-               (f"{prefix}.wv", self.wv), (f"{prefix}.wo", self.wo)]
-        out += self.mlp.named(f"{prefix}.mlp")
-        return out
+def init_encoder(rng, params, prefix, n_rois, d, d_ff, n_layers):
+    """Add the token embedding MLP ``prefix.embed`` (n_rois -> d) and
+    ``n_layers`` encoder layers ``prefix.layer{i}`` to params."""
+    init_mlp(rng, params, f"{prefix}.embed", n_rois, d, d)
+    for i in range(n_layers):
+        init_encoder_layer(rng, params, f"{prefix}.layer{i}", d, d_ff)
 
 
-@dataclass
-class EncoderParams:
-    embed: Mlp  # n_rois -> d
-    layers: list[LayerParams]
+def init_encoder_layer(rng, params, prefix, d, d_ff):
+    for w in ("wq", "wk", "wv", "wo"):
+        params[f"{prefix}.{w}"] = init_weight(rng, d, d)
+    init_mlp(rng, params, f"{prefix}.mlp", d, d_ff, d)
 
-    @classmethod
-    def init(cls, rng, n_rois, d, d_ff, n_layers):
-        return cls(
-            embed=Mlp.init(rng, n_rois, d, d),
-            layers=[LayerParams.init(rng, d, d_ff) for _ in range(n_layers)],
-        )
 
-    def named(self, prefix):
-        out = self.embed.named(f"{prefix}.embed")
-        for i, layer in enumerate(self.layers):
-            out += layer.named(f"{prefix}.layer{i}")
-        return out
+def init_head(rng, params, prefix, d):
+    init_mlp(rng, params, f"{prefix}.mlp", d, d, 1)
 
 
 @dataclass
@@ -65,15 +39,16 @@ class LayerOutput:
     attention: list[np.ndarray]  # per-head N x N row-stochastic maps
 
 
-def embed_tokens(adj, params):
-    """Rows of the adjacency matrix through the embedding MLP: N x N -> N x d."""
+def embed_tokens(adj, params, prefix):
+    """Rows of the adjacency matrix through the embedding MLP ``prefix.embed``:
+    N x N -> N x d."""
     if adj.shape[0] != adj.shape[1]:
         raise ag.DimensionError(f"adjacency must be square, got {adj.shape}")
-    return params.embed(adj)
+    return mlp(params, f"{prefix}.embed", adj)
 
 
-def encoder_layer(tokens, params, n_heads, bias=None, eta=1.0):
-    """One MHSA + MLP block with residuals; returns LayerOutput.
+def encoder_layer(tokens, params, prefix, n_heads, bias=None, eta=1.0):
+    """One MHSA + MLP block ``prefix`` with residuals; returns LayerOutput.
 
     bias, if given, is added to every head's attention logits scaled by eta.
     A zero eta takes the identical code path as no bias at all.
@@ -88,9 +63,9 @@ def encoder_layer(tokens, params, n_heads, bias=None, eta=1.0):
             raise ag.DimensionError(f"bias shape {bias.shape} != ({n}, {n})")
         scaled_bias = ag.scale(bias, eta)
 
-    q_all = ag.matmul(tokens, params.wq)
-    k_all = ag.matmul(tokens, params.wk)
-    v_all = ag.matmul(tokens, params.wv)
+    q_all = ag.matmul(tokens, params[f"{prefix}.wq"])
+    k_all = ag.matmul(tokens, params[f"{prefix}.wk"])
+    v_all = ag.matmul(tokens, params[f"{prefix}.wv"])
     heads, attn = [], []
     for h in range(n_heads):
         lo, hi = h * d_head, (h + 1) * d_head
@@ -103,32 +78,18 @@ def encoder_layer(tokens, params, n_heads, bias=None, eta=1.0):
         p = ag.row_softmax(logits, 1.0)
         attn.append(p.data)
         heads.append(ag.matmul(p, v))
-    mhsa = ag.matmul(ag.concat_cols(heads), params.wo)
+    mhsa = ag.matmul(ag.concat_cols(heads), params[f"{prefix}.wo"])
     z = ag.add(tokens, mhsa)
-    out = ag.add(z, params.mlp(z))
+    out = ag.add(z, mlp(params, f"{prefix}.mlp", z))
     return LayerOutput(tokens=out, attention=attn)
 
 
-def classify(x_fc_final, x_sc_final, head):
-    """Mean-pool each modality, average, and score with the classifier MLP."""
+def classify(x_fc_final, x_sc_final, params, prefix):
+    """Mean-pool each modality, average, and score with the classifier MLP
+    ``prefix.mlp``."""
     if x_fc_final.shape != x_sc_final.shape:
         raise ag.DimensionError(
             f"modality token shapes differ: {x_fc_final.shape} vs {x_sc_final.shape}"
         )
     pooled = ag.scale(ag.add(ag.mean_rows(x_fc_final), ag.mean_rows(x_sc_final)), 0.5)
-    return head(pooled)
-
-
-@dataclass
-class HeadParams:
-    mlp: Mlp
-
-    @classmethod
-    def init(cls, rng, d):
-        return cls(mlp=Mlp.init(rng, d, d, 1))
-
-    def named(self, prefix):
-        return self.mlp.named(f"{prefix}.mlp")
-
-    def __call__(self, pooled):
-        return self.mlp(pooled)
+    return mlp(params, f"{prefix}.mlp", pooled)

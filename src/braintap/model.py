@@ -24,7 +24,11 @@ class ForwardResult:
 
 
 class BrainTAP:
-    """Parameter container and forward pass for one subject at a time."""
+    """Parameter dict and forward pass for one subject at a time.
+
+    ``params`` maps each checkpoint name to its Tensor, in a fixed order:
+    the FC and SC encoders, one AMD exchange per layer, SPF, then the head.
+    """
 
     def __init__(self, cfg: TrainConfig, n_rois: int, n_priors: int):
         self.cfg = cfg
@@ -32,28 +36,16 @@ class BrainTAP:
         self.n_priors = n_priors
         rng = np.random.default_rng(cfg.seed)
         d = cfg.d
-        self.enc_fc = enc.EncoderParams.init(rng, n_rois, d, cfg.d_ff, cfg.n_layers)
-        self.enc_sc = enc.EncoderParams.init(rng, n_rois, d, cfg.d_ff, cfg.n_layers)
-        self.amd_layers = [
-            amd_mod.AmdLayerParams.init(rng, d, cfg.d_distill)
-            for _ in range(cfg.n_layers)
-        ]
-        self.spf = spf_mod.SpfParams.init(rng, n_rois, n_priors, d, cfg.z_dim)
-        self.head = enc.HeadParams.init(rng, d)
-
-    def named_params(self):
-        out = self.enc_fc.named("enc_fc") + self.enc_sc.named("enc_sc")
-        for i, layer in enumerate(self.amd_layers):
-            out += layer.named(f"amd{i}")
-        out += self.spf.named("spf")
-        out += self.head.named("head")
-        return out
-
-    def parameters(self):
-        return [t for _, t in self.named_params()]
+        self.params = {}
+        for prefix in ("enc_fc", "enc_sc"):
+            enc.init_encoder(rng, self.params, prefix, n_rois, d, cfg.d_ff, cfg.n_layers)
+        for l in range(cfg.n_layers):
+            amd_mod.init_amd_layer(rng, self.params, f"amd{l}", d, cfg.d_distill)
+        spf_mod.init_spf(rng, self.params, "spf", n_rois, n_priors, d, cfg.z_dim)
+        enc.init_head(rng, self.params, "head", d)
 
     def zero_grad(self):
-        for p in self.parameters():
+        for p in self.params.values():
             p.zero_grad()
 
     def _gate(self, x_fc0, x_sc0, priors):
@@ -62,9 +54,9 @@ class BrainTAP:
         cfg = self.cfg
         if not cfg.spf_enabled:
             return None
-        z = spf_mod.subject_embedding(x_fc0, x_sc0, self.spf)
+        z = spf_mod.subject_embedding(x_fc0, x_sc0, self.params, "spf")
         score = spf_mod.score_matrix(
-            z, priors, self.spf,
+            z, priors, self.params, "spf",
             gspf=cfg.gspf_enabled, pspf=cfg.pspf_enabled,
         )
         return spf_mod.gate(score, cfg.tau_spf)
@@ -76,18 +68,18 @@ class BrainTAP:
         frozen copies used inside the distillation loss (finite-difference
         oracle support; see amd.amd_exchange).
         """
-        cfg = self.cfg
-        x_fc = enc.embed_tokens(ag.Tensor(fc), self.enc_fc)
-        x_sc = enc.embed_tokens(ag.Tensor(sc), self.enc_sc)
+        cfg, p = self.cfg, self.params
+        x_fc = enc.embed_tokens(ag.Tensor(fc), p, "enc_fc")
+        x_sc = enc.embed_tokens(ag.Tensor(sc), p, "enc_sc")
         gate_matrix = self._gate(x_fc, x_sc, priors)
         bias = None if gate_matrix is None else spf_mod.attention_bias(gate_matrix)
 
         distill_losses = []
         attention = {}
         for l in range(cfg.n_layers):
-            out_fc = enc.encoder_layer(x_fc, self.enc_fc.layers[l], cfg.n_heads,
+            out_fc = enc.encoder_layer(x_fc, p, f"enc_fc.layer{l}", cfg.n_heads,
                                        bias=bias, eta=cfg.eta)
-            out_sc = enc.encoder_layer(x_sc, self.enc_sc.layers[l], cfg.n_heads,
+            out_sc = enc.encoder_layer(x_sc, p, f"enc_sc.layer{l}", cfg.n_heads,
                                        bias=bias, eta=cfg.eta)
             x_fc, x_sc = out_fc.tokens, out_sc.tokens
             if record_attention:
@@ -96,13 +88,13 @@ class BrainTAP:
             if cfg.amd_enabled:
                 ratios = None if detached_ratios is None else detached_ratios[l]
                 ex = amd_mod.amd_exchange(
-                    x_fc, x_sc, self.amd_layers[l], cfg.tau_amd,
+                    x_fc, x_sc, p, f"amd{l}", cfg.tau_amd,
                     detached_ratios=ratios,
                 )
                 x_fc, x_sc = ex.x_fc, ex.x_sc
                 distill_losses.append(ex.loss)
 
-        logit = enc.classify(x_fc, x_sc, self.head)
+        logit = enc.classify(x_fc, x_sc, p, "head")
         return ForwardResult(
             logit=logit, distill_losses=distill_losses,
             gate=gate_matrix, attention=attention,
@@ -113,8 +105,8 @@ class BrainTAP:
         token embeddings and SPF, not the encoder layers."""
         with ag.no_grad():
             gate_matrix = self._gate(
-                enc.embed_tokens(ag.Tensor(subject.fc), self.enc_fc),
-                enc.embed_tokens(ag.Tensor(subject.sc), self.enc_sc),
+                enc.embed_tokens(ag.Tensor(subject.fc), self.params, "enc_fc"),
+                enc.embed_tokens(ag.Tensor(subject.sc), self.params, "enc_sc"),
                 priors,
             )
         if gate_matrix is None:
@@ -128,7 +120,8 @@ class BrainTAP:
         return 1.0 / (1.0 + np.exp(-result.logit.item()))
 
     def report_ratios(self):
-        return amd_mod.report_ratios(self.amd_layers)
+        return amd_mod.report_ratios(
+            self.params, [f"amd{l}" for l in range(self.cfg.n_layers)])
 
     # checkpoint format: npz with a version scalar, the config JSON, model
     # dimensions, and one array per named parameter under "param:<name>"
@@ -158,11 +151,18 @@ class BrainTAP:
         return model
 
     def state_arrays(self):
-        return {name: t.data.copy() for name, t in self.named_params()}
+        return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_arrays(self, state):
-        """Copy each named array into its parameter; shapes must match."""
-        for name, t in self.named_params():
+        """Copy each named array into its parameter; the names and every
+        shape must match the model's."""
+        missing = sorted(self.params.keys() - state.keys())
+        extra = sorted(state.keys() - self.params.keys())
+        if missing or extra:
+            raise ValueError(
+                f"checkpoint parameters do not match the model: missing {missing}, extra {extra}"
+            )
+        for name, t in self.params.items():
             stored = state[name]
             if stored.shape != t.data.shape:
                 raise ValueError(f"checkpoint shape mismatch for {name}")

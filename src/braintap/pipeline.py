@@ -85,13 +85,18 @@ class AdamW:
 
 
 def _first_non_finite(model, loss_value):
+    """Name of a step's first non-finite value, or None; called after
+    backward(), before the optimizer step. A non-finite loss names the
+    first non-finite parameter (or the loss itself); a finite loss, the
+    first parameter with a non-finite gradient."""
     if not np.isfinite(loss_value):
-        for name, t in model.named_params():
+        for name, t in model.params.items():
             if not np.isfinite(t.data).all():
                 return f"parameter {name}"
-            if t.grad is not None and not np.isfinite(t.grad).all():
-                return f"gradient of {name}"
         return "total_loss"
+    for name, t in model.params.items():
+        if t.grad is not None and not np.isfinite(t.grad).all():
+            return f"gradient of {name}"
     return None
 
 
@@ -119,7 +124,6 @@ def train(cfg: TrainConfig, subjects, priors, manifest, metrics_path=None, log=N
         raise TrainingError("empty val split")
 
     model = BrainTAP(cfg, manifest.n_rois, len(priors))
-    named = model.named_params()
     def scale_for(name):
         if name.startswith("spf.hyper"):
             return cfg.hyper_lr_scale
@@ -129,9 +133,8 @@ def train(cfg: TrainConfig, subjects, priors, manifest, metrics_path=None, log=N
             return cfg.amd_lr_scale
         return 1.0
 
-    scales = [scale_for(name) for name, _ in named]
-    opt = AdamW([t for _, t in named], cfg.learning_rate, cfg.weight_decay,
-                lr_scales=scales)
+    opt = AdamW(model.params.values(), cfg.learning_rate, cfg.weight_decay,
+                lr_scales=[scale_for(name) for name in model.params])
     rng = np.random.default_rng(cfg.seed)
     report = EvalReport()
     best_state = model.state_arrays()
@@ -153,10 +156,10 @@ def train(cfg: TrainConfig, subjects, priors, manifest, metrics_path=None, log=N
                 batch_loss = loss if batch_loss is None else ag.add(batch_loss, loss)
             batch_loss = ag.scale(batch_loss, 1.0 / len(batch))
             value = batch_loss.item()
+            batch_loss.backward()
             culprit = _first_non_finite(model, value)
             if culprit is not None:
-                raise TrainingError(f"non-finite loss at epoch {epoch}: first offender {culprit}")
-            batch_loss.backward()
+                raise TrainingError(f"non-finite value at epoch {epoch}: first offender {culprit}")
             opt.step()
             epoch_losses.append(value)
 

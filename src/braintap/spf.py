@@ -8,60 +8,41 @@ additive attention-logit bias.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autograd as ag
-from .nn import Mlp, zero_param
+from .nn import init_mlp, mlp, zero_param
 
 
-@dataclass
-class SpfParams:
-    global_masks: list[ag.Tensor]  # K+1 matrices of N x N, zero-initialized
-    hyper: Mlp  # z_dim -> (K+1) * (2N + 1), final layer zero-initialized
-    z_embed: Mlp  # 2d -> z_dim
-    n_rois: int
-    n_priors: int  # K (excluding the free region)
-
-    @classmethod
-    def init(cls, rng, n_rois, n_priors, d, z_dim, hyper_hidden=64):
-        out_dim = (n_priors + 1) * (2 * n_rois + 1)
-        hyper = Mlp.init(rng, z_dim, hyper_hidden, out_dim)
-        # Zero only the alpha outputs. The personalized matrices are
-        # alpha * (u_a u_b^T + u_b u_a^T), so alpha = 0 keeps them exactly
-        # zero at init, while nonzero u columns give alpha a nonzero
-        # gradient. Zeroing the whole layer would make the product a
-        # zero-gradient saddle that training never leaves.
-        for k in range(n_priors + 1):
-            hyper.w2.data[:, k * (2 * n_rois + 1)] = 0.0
-        return cls(
-            global_masks=[zero_param(n_rois, n_rois) for _ in range(n_priors + 1)],
-            hyper=hyper,
-            z_embed=Mlp.init(rng, 2 * d, hyper_hidden, z_dim),
-            n_rois=n_rois,
-            n_priors=n_priors,
-        )
-
-    def named(self, prefix):
-        out = [(f"{prefix}.wg{k}", w) for k, w in enumerate(self.global_masks)]
-        out += self.hyper.named(f"{prefix}.hyper")
-        out += self.z_embed.named(f"{prefix}.z_embed")
-        return out
+def init_spf(rng, params, prefix, n_rois, n_priors, d, z_dim, hyper_hidden=64):
+    """Add the K+1 zero-initialized N x N global score matrices ``prefix.wg{k}``
+    (the last for the free region), the hypernetwork ``prefix.hyper``
+    (z_dim -> (K+1) * (2N + 1)) and the subject embedding ``prefix.z_embed``
+    (2d -> z_dim) to params."""
+    for k in range(n_priors + 1):
+        params[f"{prefix}.wg{k}"] = zero_param(n_rois, n_rois)
+    init_mlp(rng, params, f"{prefix}.hyper", z_dim, hyper_hidden,
+             (n_priors + 1) * (2 * n_rois + 1))
+    # Zero only the alpha outputs. The personalized matrices are
+    # alpha * (u_a u_b^T + u_b u_a^T), so alpha = 0 keeps them exactly
+    # zero at init, while nonzero u columns give alpha a nonzero
+    # gradient. Zeroing the whole layer would make the product a
+    # zero-gradient saddle that training never leaves.
+    params[f"{prefix}.hyper.w2"].data[:, ::2 * n_rois + 1] = 0.0
+    init_mlp(rng, params, f"{prefix}.z_embed", 2 * d, hyper_hidden, z_dim)
 
 
-def subject_embedding(x_fc0, x_sc0, params):
+def subject_embedding(x_fc0, x_sc0, params, prefix):
     """Mean-pool both modalities' layer-0 tokens and project to the z space."""
     pooled = ag.concat_cols([ag.mean_rows(x_fc0), ag.mean_rows(x_sc0)])
-    return params.z_embed(pooled)
+    return mlp(params, f"{prefix}.z_embed", pooled)
 
 
-def hypernetwork_outputs(z, params):
-    """Per-prior (alpha, u_a, u_b) tensors predicted from the subject embedding."""
-    raw = params.hyper(z)  # (1, (K+1) * (2N + 1))
-    n = params.n_rois
+def hypernetwork_outputs(z, params, prefix, n, n_regions):
+    """Per-region (alpha, u_a, u_b) tensors predicted from the subject embedding."""
+    raw = mlp(params, f"{prefix}.hyper", z)  # (1, n_regions * (2n + 1))
     out = []
-    for k in range(params.n_priors + 1):
+    for k in range(n_regions):
         off = k * (2 * n + 1)
         alpha = ag.slice_cols(raw, off, off + 1)
         u_a = ag.slice_cols(raw, off + 1, off + 1 + n)
@@ -79,24 +60,28 @@ def personalized_mask(alpha, u_a, u_b):
     return ag.hadamard(ag.scale(alpha, 0.5), outer)
 
 
-def score_matrix(z, priors, params, gspf=True, pspf=True):
+def score_matrix(z, priors, params, prefix, gspf=True, pspf=True):
     """Masked sum of global and personalized scores over all prior regions,
     then sym0. Returns None when both components are disabled."""
     if not gspf and not pspf:
         return None
     mask_arrays = list(priors.masks) + [priors.free_mask]
-    if len(mask_arrays) != params.n_priors + 1:
+    # N is the side of the global matrices; K + 1 follows from the
+    # hypernetwork's output width (K+1)(2N+1).
+    n = params[f"{prefix}.wg0"].shape[0]
+    n_regions = params[f"{prefix}.hyper.b2"].shape[1] // (2 * n + 1)
+    if len(mask_arrays) != n_regions:
         raise ag.DimensionError(
-            f"prior count mismatch: {len(mask_arrays) - 1} vs {params.n_priors}"
+            f"prior count mismatch: {len(mask_arrays) - 1} vs {n_regions - 1}"
         )
-    hyper_out = hypernetwork_outputs(z, params) if pspf else None
+    hyper_out = hypernetwork_outputs(z, params, prefix, n, n_regions) if pspf else None
     total = None
     for k, mask in enumerate(mask_arrays):
-        if mask.shape != (params.n_rois, params.n_rois):
-            raise ag.DimensionError(f"mask {k} shape {mask.shape} != n_rois {params.n_rois}")
+        if mask.shape != (n, n):
+            raise ag.DimensionError(f"mask {k} shape {mask.shape} != n_rois {n}")
         parts = []
         if gspf:
-            parts.append(params.global_masks[k])
+            parts.append(params[f"{prefix}.wg{k}"])
         if pspf:
             parts.append(personalized_mask(*hyper_out[k]))
         w = parts[0] if len(parts) == 1 else ag.add(*parts)

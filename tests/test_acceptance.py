@@ -23,7 +23,6 @@ from braintap.benchmark import ABLATION_VARIANTS, COHORT, SEEDS, benchmark_confi
 from braintap.config import TrainConfig
 from braintap.data import PriorSet, derive_free_mask, generate_synthetic_cohort, load_cohort
 from braintap.model import BrainTAP
-from braintap.nn import Mlp
 from braintap.pipeline import auc, evaluate_auc, split_subjects, total_loss, train
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -70,13 +69,14 @@ def test_full_model_gradient_matches_finite_differences():
 
     # Nudge every parameter off its (often zero) init so no gradient path
     # is trivially inactive at the test point.
-    for _, p in model.named_params():
+    for p in model.params.values():
         p.data = p.data + 0.05 * rng.normal(size=p.data.shape)
 
     with ag.no_grad():
         frozen = {
-            l: (ag.sigmoid(layer.raw_beta).item(), ag.sigmoid(layer.raw_gamma).item())
-            for l, layer in enumerate(model.amd_layers)
+            l: (ag.sigmoid(model.params[f"amd{l}.raw_beta"]).item(),
+                ag.sigmoid(model.params[f"amd{l}.raw_gamma"]).item())
+            for l in range(cfg.n_layers)
         }
 
     def loss_value():
@@ -88,7 +88,7 @@ def test_full_model_gradient_matches_finite_differences():
 
     h = 1e-5
     worst = 0.0
-    for name, p in model.named_params():
+    for name, p in model.params.items():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         it = np.nditer(p.data, flags=["multi_index"])
         while not it.finished:
@@ -113,16 +113,17 @@ def test_module_invariants_on_random_instances():
     # Gate: entries strictly inside (0,1), symmetric within 1e-12.
     for _ in range(100):
         n = int(rng.integers(4, 10))
-        params = spf.SpfParams.init(rng, n, 2, d=8, z_dim=4)
+        params = {}
+        spf.init_spf(rng, params, "spf", n, 2, d=8, z_dim=4)
         # Perturbation kept small enough that scores stay below the ~36.7
         # threshold where float64 sigmoid rounds to exactly 1.0; the strict
         # bounds below are only meaningful while sigmoid is representable.
-        for _, p in params.named("spf"):
+        for p in params.values():
             p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
         z = ag.Tensor(rng.normal(size=(1, 4)))
         priors = tiny_priors(n)
         with ag.no_grad():
-            g = spf.gate(spf.score_matrix(z, priors, params), tau=1.0).data
+            g = spf.gate(spf.score_matrix(z, priors, params, "spf"), tau=1.0).data
         assert np.all(g > 0.0) and np.all(g < 1.0)
         assert np.abs(g - g.T).max() < 1e-12
 
@@ -169,10 +170,11 @@ def test_module_invariants_on_random_instances():
     # Attention rows are probability distributions.
     for _ in range(100):
         n, d = int(rng.integers(3, 8)), 8
-        layer = enc.LayerParams.init(rng, d, 2 * d)
+        layer = {}
+        enc.init_encoder_layer(rng, layer, "layer", d, 2 * d)
         tokens = ag.Tensor(rng.normal(size=(n, d)))
         with ag.no_grad():
-            out = enc.encoder_layer(tokens, layer, n_heads=2)
+            out = enc.encoder_layer(tokens, layer, "layer", n_heads=2)
         for head in out.attention:
             assert np.abs(head.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -199,20 +201,21 @@ def test_ablation_flags_take_bit_identical_code_paths():
     cfg = TrainConfig(amd_enabled=False, gspf_enabled=False, pspf_enabled=False, **TINY)
     model = BrainTAP(cfg, TINY_N, 2)
     with ag.no_grad():
-        x_fc = enc.embed_tokens(ag.Tensor(fc), model.enc_fc)
-        x_sc = enc.embed_tokens(ag.Tensor(sc), model.enc_sc)
+        p = model.params
+        x_fc = enc.embed_tokens(ag.Tensor(fc), p, "enc_fc")
+        x_sc = enc.embed_tokens(ag.Tensor(sc), p, "enc_sc")
         for l in range(cfg.n_layers):
-            x_fc = enc.encoder_layer(x_fc, model.enc_fc.layers[l], cfg.n_heads).tokens
-            x_sc = enc.encoder_layer(x_sc, model.enc_sc.layers[l], cfg.n_heads).tokens
-        manual = enc.classify(x_fc, x_sc, model.head)
+            x_fc = enc.encoder_layer(x_fc, p, f"enc_fc.layer{l}", cfg.n_heads).tokens
+            x_sc = enc.encoder_layer(x_sc, p, f"enc_sc.layer{l}", cfg.n_heads).tokens
+        manual = enc.classify(x_fc, x_sc, p, "head")
     assert model.forward(fc, sc, priors).logit.item() == manual.item()
 
     # Personalization off: identical to a zeroed hypernetwork output layer.
     on = BrainTAP(TrainConfig(**TINY), TINY_N, 2)
     off = BrainTAP(TrainConfig(pspf_enabled=False, **TINY), TINY_N, 2)
     off.load_state_arrays(on.state_arrays())
-    on.spf.hyper.w2.data[:] = 0.0
-    on.spf.hyper.b2.data[:] = 0.0
+    on.params["spf.hyper.w2"].data[:] = 0.0
+    on.params["spf.hyper.b2"].data[:] = 0.0
     ra = on.forward(fc, sc, priors)
     rb = off.forward(fc, sc, priors)
     assert ra.logit.item() == rb.logit.item()

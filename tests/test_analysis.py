@@ -23,8 +23,9 @@ def model(cohort):
     m = BrainTAP(TrainConfig(**TINY), manifest.n_rois, len(priors))
     # non-trivial gates without training
     rng = np.random.default_rng(0)
-    for w in m.spf.global_masks:
-        w.data[:] = rng.normal(size=w.shape)
+    for name, w in m.params.items():
+        if name.startswith("spf.wg"):
+            w.data[:] = rng.normal(size=w.shape)
     return m
 
 
@@ -39,7 +40,7 @@ class TestMrr:
     def test_fixed_ranking_gives_one_and_half(self, cohort):
         subjects, priors, manifest = cohort
         m = BrainTAP(TrainConfig(**TINY), manifest.n_rois, len(priors))
-        m.spf.global_masks[0].data[:] = 5.0  # prior 1 always wins
+        m.params["spf.wg0"].data[:] = 5.0  # prior 1 always wins
         report = analysis.analyze_mrr(m, subjects, priors)
         by_name = dict(zip(report.prior_names, report.scores))
         assert by_name["block1"] == 1.0

@@ -133,3 +133,29 @@ def test_analysis_commands_do_not_mutate_inputs(checkpoint, cohort_dir, tmp_path
     after = {p.name: p.read_bytes() for p in sorted(cohort_dir.iterdir())}
     assert before == after
     assert checkpoint.read_bytes() == ckpt_before
+
+
+def rewrite_checkpoint(checkpoint, path, edit):
+    with np.load(checkpoint) as archive:
+        arrays = dict(archive)
+    edit(arrays)
+    np.savez(path, **arrays)
+    return path
+
+
+def test_checkpoint_missing_parameter_is_error(checkpoint, cohort_dir, tmp_path, capsys):
+    bad = rewrite_checkpoint(checkpoint, tmp_path / "missing.npz",
+                             lambda a: a.pop("param:head.mlp.b2"))
+    assert run(["evaluate", "--checkpoint", str(bad), "--cohort-dir", str(cohort_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "missing ['head.mlp.b2']" in err
+    assert "extra []" in err
+
+
+def test_checkpoint_extra_parameter_is_error(checkpoint, cohort_dir, tmp_path, capsys):
+    bad = rewrite_checkpoint(checkpoint, tmp_path / "extra.npz",
+                             lambda a: a.update({"param:extra": np.zeros((1, 1))}))
+    assert run(["evaluate", "--checkpoint", str(bad), "--cohort-dir", str(cohort_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "missing []" in err
+    assert "extra ['extra']" in err

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from braintap import autograd as ag
 from braintap import encoder as enc
+from braintap.benchmark import benchmark_config
 from braintap.config import TrainConfig
 from braintap.data import PriorSet
 from braintap.model import BrainTAP
@@ -37,6 +40,11 @@ def copy_params(src, dst):
     dst.load_state_arrays(src.state_arrays())
 
 
+def global_masks(model):
+    """The SPF global score matrices, prior regions first, free region last."""
+    return [t for name, t in model.params.items() if name.startswith("spf.wg")]
+
+
 class TestAblationEquivalence:
     def test_amd_off_equals_independent_encoders(self, priors, subject):
         fc, sc = subject
@@ -46,21 +54,22 @@ class TestAblationEquivalence:
         result = model.forward(fc, sc, priors)
 
         with ag.no_grad():
-            x_fc = enc.embed_tokens(ag.Tensor(fc), model.enc_fc)
-            x_sc = enc.embed_tokens(ag.Tensor(sc), model.enc_sc)
+            p = model.params
+            x_fc = enc.embed_tokens(ag.Tensor(fc), p, "enc_fc")
+            x_sc = enc.embed_tokens(ag.Tensor(sc), p, "enc_sc")
             for l in range(cfg.n_layers):
-                x_fc = enc.encoder_layer(x_fc, model.enc_fc.layers[l], cfg.n_heads).tokens
-                x_sc = enc.encoder_layer(x_sc, model.enc_sc.layers[l], cfg.n_heads).tokens
-            manual = enc.classify(x_fc, x_sc, model.head)
+                x_fc = enc.encoder_layer(x_fc, p, f"enc_fc.layer{l}", cfg.n_heads).tokens
+                x_sc = enc.encoder_layer(x_sc, p, f"enc_sc.layer{l}", cfg.n_heads).tokens
+            manual = enc.classify(x_fc, x_sc, p, "head")
         assert result.logit.item() == manual.item()
         assert result.distill_losses == []
 
     def test_amd_near_zero_ratio_matches_amd_off(self, priors, subject):
         fc, sc = subject
         on = BrainTAP(TrainConfig(**TINY), N, 2)
-        for layer in on.amd_layers:
-            layer.raw_beta.data[:] = -40.0
-            layer.raw_gamma.data[:] = -40.0
+        for l in range(TINY["n_layers"]):
+            on.params[f"amd{l}.raw_beta"].data[:] = -40.0
+            on.params[f"amd{l}.raw_gamma"].data[:] = -40.0
         off = BrainTAP(TrainConfig(amd_enabled=False, **TINY), N, 2)
         copy_params(on, off)
         a = on.forward(fc, sc, priors).logit.item()
@@ -71,14 +80,14 @@ class TestAblationEquivalence:
         fc, sc = subject
         rng = np.random.default_rng(9)
         off = BrainTAP(TrainConfig(pspf_enabled=False, **TINY), N, 2)
-        for w in off.spf.global_masks:
+        for w in global_masks(off):
             w.data[:] = rng.normal(size=w.shape)
-        off.spf.hyper.w2.data[:] = rng.normal(size=off.spf.hyper.w2.shape)
+        off.params["spf.hyper.w2"].data[:] = rng.normal(size=off.params["spf.hyper.w2"].shape)
 
         zeroed = BrainTAP(TrainConfig(**TINY), N, 2)
         copy_params(off, zeroed)
-        zeroed.spf.hyper.w2.data[:] = 0.0
-        zeroed.spf.hyper.b2.data[:] = 0.0
+        zeroed.params["spf.hyper.w2"].data[:] = 0.0
+        zeroed.params["spf.hyper.b2"].data[:] = 0.0
 
         a = off.forward(fc, sc, priors)
         b = zeroed.forward(fc, sc, priors)
@@ -92,7 +101,7 @@ class TestAblationEquivalence:
         copy_params(off, eta0)
         rng = np.random.default_rng(13)
         for m in (off, eta0):
-            for w in m.spf.global_masks:
+            for w in global_masks(m):
                 w.data[:] = 1.0  # would shift attention if eta were active
         a = off.forward(fc, sc, priors)
         b = eta0.forward(fc, sc, priors)
@@ -107,11 +116,11 @@ class TestAblationEquivalence:
         copy_params(off, zeroed)
         rng = np.random.default_rng(31)
         for m in (off, zeroed):
-            m.spf.hyper.w2.data[:] = np.random.default_rng(1).normal(
-                size=m.spf.hyper.w2.shape)
-        for w in off.spf.global_masks:
+            m.params["spf.hyper.w2"].data[:] = np.random.default_rng(1).normal(
+                size=m.params["spf.hyper.w2"].shape)
+        for w in global_masks(off):
             w.data[:] = rng.normal(size=w.shape)  # must be ignored
-        for w in zeroed.spf.global_masks:
+        for w in global_masks(zeroed):
             w.data[:] = 0.0
         a = off.forward(fc, sc, priors)
         b = zeroed.forward(fc, sc, priors)
@@ -123,7 +132,7 @@ class TestForwardContracts:
         fc, sc = subject
         model = BrainTAP(TrainConfig(**TINY), N, 2)
         rng = np.random.default_rng(2)
-        for w in model.spf.global_masks:
+        for w in global_masks(model):
             w.data[:] = rng.normal(size=w.shape)
         for _ in range(100):
             g = model.gate_for(
@@ -146,7 +155,7 @@ class TestForwardContracts:
         fc, sc = subject
         model = BrainTAP(TrainConfig(**TINY), N, 2)
         rng = np.random.default_rng(5)
-        for _, p in model.named_params():
+        for p in model.params.values():
             p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
         g = model.gate_for(type("S", (), {"fc": fc, "sc": sc})(), priors)
         np.testing.assert_array_equal(g, model.forward(fc, sc, priors).gate.data)
@@ -159,3 +168,30 @@ class TestForwardContracts:
         a = model.forward(fc, sc, priors).logit.item()
         b = loaded.forward(fc, sc, priors).logit.item()
         assert a == b
+
+
+def state_digest(model):
+    """(parameter count, sha256 of the names in order, sha256 of the values)."""
+    state = model.state_arrays()
+    values = hashlib.sha256()
+    for a in state.values():
+        values.update(np.ascontiguousarray(a).tobytes())
+    return len(state), hashlib.sha256("\n".join(state).encode()).hexdigest(), values.hexdigest()
+
+
+@pytest.mark.parametrize("cfg, n_rois, expected", [
+    (TrainConfig(**TINY), N, (
+        91,
+        "721e751e132c76e08d9fbf8e59bd50ca01bfce4a005233abc5edb4f84f9db299",
+        "5c417b6bb121c0a70026d875627b109a3ca4f7ab81752a39196743f6fc2f9b78",
+    )),
+    (benchmark_config(seed=0), 20, (
+        125,
+        "0355b3011c9ea3033bd925953fb7c433892ae5628ab91627436b68ef977f3fea",
+        "6043a5d23dc008199e6215d033e4c72ce63512dfa53ba2e8d978feec65d5c38c",
+    )),
+], ids=["tiny", "benchmark"])
+def test_seeded_init_is_pinned(cfg, n_rois, expected):
+    """Parameter names, their order and every seeded initial value are fixed:
+    reordering the random draws would silently change every trained model."""
+    assert state_digest(BrainTAP(cfg, n_rois, 2)) == expected

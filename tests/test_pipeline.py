@@ -117,7 +117,7 @@ class TestTrain:
         m2, r2 = pipeline.train(cfg, *tiny_cohort, metrics_path=tmp_path / "m2.csv")
         assert r1.test_auc == r2.test_auc
         assert (tmp_path / "m1.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()
-        for (n1, t1), (_, t2) in zip(m1.named_params(), m2.named_params()):
+        for t1, t2 in zip(m1.params.values(), m2.params.values()):
             np.testing.assert_array_equal(t1.data, t2.data)
 
     def test_loss_decreases(self, tiny_cohort):
@@ -144,6 +144,26 @@ class TestTrain:
         ]
         with pytest.raises(pipeline.TrainingError, match="non-finite"):
             pipeline.train(cfg, poisoned, priors, manifest)
+
+    def test_non_finite_gradient_stops_before_the_step(self, tiny_cohort, monkeypatch):
+        """A finite loss whose backward pass yields NaN gradients must abort
+        the training before AdamW.step uses them, naming the parameter."""
+        bce = ag.bce_with_logits
+
+        def nan_gradient_bce(logit, y):
+            out = bce(logit, y)
+            backward = out._backward
+            out._backward = lambda g: backward(g * np.nan)
+            return out
+
+        steps = []
+        step = pipeline.AdamW.step
+        monkeypatch.setattr(ag, "bce_with_logits", nan_gradient_bce)
+        monkeypatch.setattr(pipeline.AdamW, "step", lambda opt: steps.append(1) or step(opt))
+        cfg = TrainConfig(epochs=1, batch_size=8, **TINY)
+        with pytest.raises(pipeline.TrainingError, match="gradient of enc_fc.embed.w1"):
+            pipeline.train(cfg, *tiny_cohort)
+        assert steps == []
 
 
 class TestRunAblation:

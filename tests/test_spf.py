@@ -25,15 +25,17 @@ def make_priors(n=6):
 
 @pytest.fixture
 def params(rng):
-    return spf.SpfParams.init(rng, n_rois=6, n_priors=2, d=8, z_dim=4)
+    p = {}
+    spf.init_spf(rng, p, "spf", n_rois=6, n_priors=2, d=8, z_dim=4)
+    return p
 
 
 class TestSubjectEmbedding:
     def test_deterministic_and_shaped(self, params, rng):
         x = ag.Tensor(rng.normal(size=(6, 8)))
         y = ag.Tensor(rng.normal(size=(6, 8)))
-        z1 = spf.subject_embedding(x, y, params)
-        z2 = spf.subject_embedding(x, y, params)
+        z1 = spf.subject_embedding(x, y, params, "spf")
+        z2 = spf.subject_embedding(x, y, params, "spf")
         assert z1.shape == (1, 4)
         np.testing.assert_array_equal(z1.data, z2.data)
 
@@ -41,8 +43,8 @@ class TestSubjectEmbedding:
         xf = rng.normal(size=(6, 8))
         xs = rng.normal(size=(6, 8))
         perm = rng.permutation(6)
-        a = spf.subject_embedding(ag.Tensor(xf), ag.Tensor(xs), params)
-        b = spf.subject_embedding(ag.Tensor(xf[perm]), ag.Tensor(xs[perm]), params)
+        a = spf.subject_embedding(ag.Tensor(xf), ag.Tensor(xs), params, "spf")
+        b = spf.subject_embedding(ag.Tensor(xf[perm]), ag.Tensor(xs[perm]), params, "spf")
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
 
@@ -85,25 +87,26 @@ class TestPersonalizedMask:
 class TestScoreMatrix:
     def test_all_zero_weights_give_zero(self, params, rng):
         z = ag.Tensor(rng.normal(size=(1, 4)))
-        s = spf.score_matrix(z, make_priors(), params)
+        s = spf.score_matrix(z, make_priors(), params, "spf")
         # global masks and hypernetwork final layer are zero-initialized
         np.testing.assert_array_equal(s.data, np.zeros((6, 6)))
 
     def test_symmetric_zero_diagonal(self, params, rng):
-        for w in params.global_masks:
+        for k in range(3):
+            w = params[f"spf.wg{k}"]
             w.data[:] = rng.normal(size=w.shape)
-        params.hyper.w2.data[:] = rng.normal(size=params.hyper.w2.shape)
+        params["spf.hyper.w2"].data[:] = rng.normal(size=params["spf.hyper.w2"].shape)
         z = ag.Tensor(rng.normal(size=(1, 4)))
-        s = spf.score_matrix(z, make_priors(), params)
+        s = spf.score_matrix(z, make_priors(), params, "spf")
         np.testing.assert_allclose(s.data, s.data.T, atol=1e-12)
         np.testing.assert_array_equal(np.diag(s.data), np.zeros(6))
 
     def test_free_weight_only_touches_free_region(self, params, rng):
         priors = make_priors()
         z = ag.Tensor(rng.normal(size=(1, 4)))
-        base = spf.score_matrix(z, priors, params).data
-        params.global_masks[2].data[:] = rng.normal(size=(6, 6))
-        changed = spf.score_matrix(z, priors, params).data
+        base = spf.score_matrix(z, priors, params, "spf").data
+        params["spf.wg2"].data[:] = rng.normal(size=(6, 6))
+        changed = spf.score_matrix(z, priors, params, "spf").data
         delta = np.abs(changed - base) > 0.0
         covered = (priors.free_mask + priors.free_mask.T) > 0
         assert not delta[~covered].any()
@@ -112,16 +115,16 @@ class TestScoreMatrix:
     def test_global_mask_gradient_respects_its_prior(self, params, rng):
         priors = make_priors()
         z = ag.Tensor(rng.normal(size=(1, 4)))
-        s = spf.score_matrix(z, priors, params)
+        s = spf.score_matrix(z, priors, params, "spf")
         ag.sum_all(ag.hadamard(s, ag.Tensor(rng.normal(size=(6, 6))))).backward()
-        g = params.global_masks[0].grad
+        g = params["spf.wg0"].grad
         outside = priors.masks[0] == 0.0
         assert np.abs(g[outside]).max() == 0.0
         assert np.abs(g[~outside]).max() > 0.0
 
     def test_disabled_components(self, params, rng):
         z = ag.Tensor(rng.normal(size=(1, 4)))
-        assert spf.score_matrix(z, make_priors(), params, gspf=False, pspf=False) is None
+        assert spf.score_matrix(z, make_priors(), params, "spf", gspf=False, pspf=False) is None
 
 
 class TestGate:
